@@ -30,21 +30,20 @@
 //!   is maintained as two eager scalar minima (`service_next`,
 //!   `arrival_next`): O(1) folds on enqueue/push, one short scan at poll
 //!   exit. A timer wheel at this fan-in costs more in insert/cascade
-//!   traffic than the scan it saves (measured: the wheel-indexed
-//!   scheduler cascaded ~0.4 entries per delivered packet; the scan
-//!   cascades zero).
+//!   traffic than the scan it saves.
 //!
 //! Determinism: links due at the same instant drain in ascending `LinkId`
-//! order — the same order the reference scan loop uses — and in-flight
-//! arrivals tie-break FIFO on their global push sequence, so the schedule
-//! is bit-identical to [`Network::poll_scan_all`] and to the retained
-//! per-packet wheel path ([`Network::set_inflight_wheel_mode`]), both kept
-//! for the equivalence property tests.
+//! order, and same-instant arrivals on different links deliver in the
+//! order they finished serializing (the global push sequence), so the
+//! schedule is a pure function of the sends. The equivalence tests in
+//! `tests/properties.rs` pin it, ties included, against an independent
+//! reference network with a per-packet in-flight queue and a
+//! scan-every-link poll.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use rv_sim::{earliest, OutagePolicy, SimRng, SimTime, TimerWheel};
+use rv_sim::{earliest, OutagePolicy, SimRng, SimTime};
 
 use crate::link::{Link, LinkParams, LinkStats};
 use crate::packet::{HostId, NodeId, Packet};
@@ -75,25 +74,17 @@ fn unpack_tag(tag: u64) -> (RouteId, u32) {
     (RouteId((tag >> 32) as u32), tag as u32)
 }
 
-/// A packet in flight between links, tagged with its interned route and
-/// the hop that has just been traversed.
-#[derive(Debug, Clone)]
-struct Transit<P> {
-    packet: Packet<P>,
-    /// The route resolved at send time.
-    route: RouteId,
-    /// Index into the route of the hop that has just been traversed.
-    hop: u32,
-}
-
-/// One entry in a per-link delay line: a [`Transit`] plus the arrival
-/// instant and the global push sequence that orders same-instant arrivals
-/// across lines exactly as the per-packet wheel's internal FIFO did.
+/// One entry in a per-link delay line: a packet propagating between
+/// links, its arrival instant, and the global push sequence that orders
+/// same-instant arrivals across lines first-pushed first.
 #[derive(Debug, Clone)]
 struct InFlight<P> {
     at: SimTime,
     seq: u64,
-    transit: Transit<P>,
+    packet: Packet<P>,
+    /// The link tag: the route resolved at send time and the hop just
+    /// traversed (see [`pack_tag`]).
+    tag: u64,
 }
 
 /// The simulated network.
@@ -121,7 +112,7 @@ pub struct Network<P> {
     /// Emptied delay lines recycled across rebuilds, like `spare_inboxes`.
     spare_lines: Vec<VecDeque<InFlight<P>>>,
     /// Global stamp assigned to each in-flight push, so cross-line merges
-    /// reproduce the per-packet wheel's FIFO tie-break.
+    /// break same-instant ties FIFO.
     transit_seq: u64,
     /// Delay-line observability: head exposures the scheduler scan must
     /// notice (a push to an empty line, or a pop that uncovers a
@@ -139,13 +130,6 @@ pub struct Network<P> {
     /// same exactness discipline (pushes fold in O(1); the delivery
     /// merge's exit scan recomputes).
     arrival_next: Option<SimTime>,
-    /// Reference mode: route in-flight packets through the retained
-    /// per-packet wheel instead of the delay lines. Equivalence spec for
-    /// the property tests; not for production use.
-    inflight_wheel_mode: bool,
-    /// Packets that finished a link and are propagating (reference mode
-    /// only; empty while delay lines are active).
-    in_flight: TimerWheel<Transit<P>>,
     inboxes: Vec<VecDeque<Packet<P>>>,
     /// Emptied inboxes recycled across [`Network::reset_for_rebuild`]
     /// cycles, so a rebuilt topology's hosts start with warm buffers.
@@ -175,8 +159,6 @@ impl<P> Network<P> {
             bypass_packets: 0,
             service_next: None,
             arrival_next: None,
-            inflight_wheel_mode: false,
-            in_flight: TimerWheel::new(),
             inboxes: Vec::new(),
             spare_inboxes: Vec::new(),
             unroutable: 0,
@@ -255,9 +237,33 @@ impl<P> Network<P> {
     /// Panics if the link sequence is not contiguous from `src`'s node to
     /// `dst`'s node — a broken route would silently blackhole traffic.
     pub fn set_route(&mut self, src: HostId, dst: HostId, route: Vec<LinkId>) {
+        self.check_route(src, dst, &route);
+        self.install_route(src, dst, route.into());
+    }
+
+    /// Interns a shared route, as [`Network::set_route`] but cloning an
+    /// `Arc` from a [`crate::TopologyPrototype`] (whose routes are valid by
+    /// construction, so they are checked in debug builds only). Route ids
+    /// are issued in call order, so installing a prototype's routes in
+    /// recorded order yields identical ids, and therefore identical
+    /// packet tags, on every build.
+    pub fn install_route(&mut self, src: HostId, dst: HostId, route: Arc<[LinkId]>) {
+        if cfg!(debug_assertions) {
+            self.check_route(src, dst, &route);
+        }
+        let rid = RouteId(self.route_table.len() as u32);
+        assert!(rid.0 != NO_ROUTE, "route id space exhausted");
+        self.route_table.push(route);
+        let slot = self.route_slot(src, dst);
+        self.route_ids[slot] = rid.0;
+    }
+
+    /// Panics unless `route` is a non-empty, contiguous link sequence from
+    /// `src`'s node to `dst`'s node.
+    fn check_route(&self, src: HostId, dst: HostId, route: &[LinkId]) {
         assert!(!route.is_empty(), "route must have at least one link");
         let mut at = self.host_node(src);
-        for lid in &route {
+        for lid in route {
             let link = &self.links[lid.0 as usize];
             assert_eq!(
                 link.from, at,
@@ -266,38 +272,6 @@ impl<P> Network<P> {
             at = link.to;
         }
         assert_eq!(at, self.host_node(dst), "route does not end at destination");
-        let rid = RouteId(self.route_table.len() as u32);
-        assert!(rid.0 != NO_ROUTE, "route id space exhausted");
-        self.route_table.push(route.into());
-        let slot = self.route_slot(src, dst);
-        self.route_ids[slot] = rid.0;
-    }
-
-    /// Interns a pre-validated shared route, as [`Network::set_route`]
-    /// but cloning an `Arc` from a [`crate::TopologyPrototype`] instead of
-    /// allocating and re-walking the link sequence. Route ids are issued
-    /// in call order, so installing a prototype's routes in recorded order
-    /// yields the identical id assignment (and therefore identical packet
-    /// tags) as the BFS build it was derived from.
-    pub fn install_route(&mut self, src: HostId, dst: HostId, route: Arc<[LinkId]>) {
-        debug_assert!(!route.is_empty(), "route must have at least one link");
-        debug_assert!({
-            let mut at = self.host_node(src);
-            for lid in route.iter() {
-                let link = &self.links[lid.0 as usize];
-                assert_eq!(
-                    link.from, at,
-                    "route hop does not start where previous ended"
-                );
-                at = link.to;
-            }
-            at == self.host_node(dst)
-        });
-        let rid = RouteId(self.route_table.len() as u32);
-        assert!(rid.0 != NO_ROUTE, "route id space exhausted");
-        self.route_table.push(route);
-        let slot = self.route_slot(src, dst);
-        self.route_ids[slot] = rid.0;
     }
 
     /// Whether a route exists between two hosts.
@@ -350,8 +324,9 @@ impl<P> Network<P> {
     /// of packets that moved.
     ///
     /// Due links are discovered by scanning every link in ascending
-    /// `LinkId` order — identical to [`Network::poll_scan_all`] except for
-    /// the memoized nothing-due fast path and the per-link due pre-check.
+    /// `LinkId` order and draining those whose in-service completion is
+    /// due; rounds repeat only while forwarding parks a completion that is
+    /// itself due by `now`.
     pub fn poll(&mut self, now: SimTime) -> usize {
         // Fast path: nothing due. Drivers re-poll every settle iteration,
         // so this single cached read is the common case.
@@ -374,8 +349,7 @@ impl<P> Network<P> {
             // `now`), and drain-side pushes due by `now` are consumed by
             // the deliver pass in this same round.
             let mut requeue = false;
-            let mut progress = drained;
-            moved += self.deliver_due(now, &mut progress, &mut requeue);
+            moved += self.deliver_due(now, &mut requeue);
             if !requeue {
                 break;
             }
@@ -388,33 +362,10 @@ impl<P> Network<P> {
         moved
     }
 
-    /// Reference scheduler: identical semantics to [`Network::poll`], but
-    /// with no fast path and no due pre-check — every link is drained
-    /// unconditionally every round. Retained so property tests can prove
-    /// the production path delivers the identical packet sequence.
-    #[doc(hidden)]
-    pub fn poll_scan_all(&mut self, now: SimTime) -> usize {
-        let mut moved = 0;
-        loop {
-            let mut progress = false;
-            let mut requeue = false;
-            for i in 0..self.links.len() {
-                moved += self.drain_link(LinkId(i as u32), now, &mut progress);
-            }
-
-            moved += self.deliver_due(now, &mut progress, &mut requeue);
-            if !progress {
-                self.recompute_service_next();
-                return moved;
-            }
-        }
-    }
-
-    /// Drains one link's due serializations into its delay line (or the
-    /// reference per-packet wheel), validating each packet's route id.
-    /// Returns the number of packets that moved onward (misrouted drops
-    /// count as progress but not movement — consistently with the
-    /// propagation arm).
+    /// Drains one link's due serializations into its delay line,
+    /// validating each packet's route id. Returns the number of packets
+    /// that moved onward (misrouted drops count as progress but not
+    /// movement — consistently with the propagation arm).
     fn drain_link(&mut self, lid: LinkId, now: SimTime, progress: &mut bool) -> usize {
         let Network {
             links,
@@ -425,8 +376,6 @@ impl<P> Network<P> {
             head_updates,
             bypass_packets,
             arrival_next,
-            inflight_wheel_mode,
-            in_flight,
             misrouted,
             ..
         } = self;
@@ -434,58 +383,47 @@ impl<P> Network<P> {
         let link = &mut links[lid.0 as usize];
         let mut moved = 0;
         let drained = link.poll(now, &mut |arrive_at, packet, tag| {
-            let (route, hop) = unpack_tag(tag);
+            let (route, _) = unpack_tag(tag);
             // The route existed at send time, but may have been replaced
             // since; a packet stranded by a route change is dropped and
             // counted rather than panicking the simulation.
             let slot = packet.src.host.0 as usize * num_hosts + packet.dst.host.0 as usize;
             if route_ids[slot] == route.0 {
-                let transit = Transit { packet, route, hop };
-                if *inflight_wheel_mode {
-                    in_flight.push(arrive_at, transit);
+                // Arrivals on one link are monotonic while the link
+                // stays busy (FIFO serialization with service ≥ 1 µs,
+                // constant propagation), so appending keeps the line
+                // sorted in the overwhelmingly common case. Sparse
+                // polling breaks the guarantee: an idle link drained
+                // at completion C can take a forwarding enqueue
+                // backdated to an arrival instant < C and finish it
+                // before C. Those stragglers sort-insert so the line
+                // stays ordered by `(at, seq)` — the merge's exactness
+                // contract — under any poll pattern.
+                let line = &mut lines[lid.0 as usize];
+                let ent = InFlight {
+                    at: arrive_at,
+                    seq: *transit_seq,
+                    packet,
+                    tag,
+                };
+                *transit_seq += 1;
+                let new_head = if line.back().is_none_or(|b| b.at <= arrive_at) {
+                    let was_empty = line.is_empty();
+                    line.push_back(ent);
+                    was_empty
                 } else {
-                    // Arrivals on one link are monotonic while the link
-                    // stays busy (FIFO serialization with service ≥ 1 µs,
-                    // constant propagation), so appending keeps the line
-                    // sorted in the overwhelmingly common case. Sparse
-                    // polling breaks the guarantee: an idle link drained
-                    // at completion C can take a forwarding enqueue
-                    // backdated to an arrival instant < C and finish it
-                    // before C. Those stragglers sort-insert so the line
-                    // stays ordered by `(at, seq)` — the merge's exactness
-                    // contract — under any poll pattern.
-                    let line = &mut lines[lid.0 as usize];
-                    let seq = *transit_seq;
-                    *transit_seq += 1;
-                    let new_head = if line.back().is_none_or(|b| b.at <= arrive_at) {
-                        let was_empty = line.is_empty();
-                        line.push_back(InFlight {
-                            at: arrive_at,
-                            seq,
-                            transit,
-                        });
-                        was_empty
-                    } else {
-                        // Earlier entries all carry smaller seqs, so
-                        // ordering by `at` alone places the straggler
-                        // after every same-instant predecessor.
-                        let pos = line.partition_point(|e| e.at <= arrive_at);
-                        line.insert(
-                            pos,
-                            InFlight {
-                                at: arrive_at,
-                                seq,
-                                transit,
-                            },
-                        );
-                        pos == 0
-                    };
-                    if new_head {
-                        *head_updates += 1;
-                        *arrival_next = earliest([*arrival_next, Some(arrive_at)]);
-                    } else {
-                        *bypass_packets += 1;
-                    }
+                    // Earlier entries all carry smaller seqs, so
+                    // ordering by `at` alone places the straggler
+                    // after every same-instant predecessor.
+                    let pos = line.partition_point(|e| e.at <= arrive_at);
+                    line.insert(pos, ent);
+                    pos == 0
+                };
+                if new_head {
+                    *head_updates += 1;
+                    *arrival_next = earliest([*arrival_next, Some(arrive_at)]);
+                } else {
+                    *bypass_packets += 1;
                 }
                 moved += 1;
             } else {
@@ -500,25 +438,12 @@ impl<P> Network<P> {
 
     /// Delivers propagation arrivals due by `now`, forwarding each packet
     /// to its next hop or its destination inbox. Returns packets moved.
-    fn deliver_due(&mut self, now: SimTime, progress: &mut bool, requeue: &mut bool) -> usize {
-        if self.inflight_wheel_mode {
-            self.deliver_due_wheel(now, progress, requeue)
-        } else {
-            self.deliver_due_lines(now, progress, requeue)
-        }
-    }
-
-    /// Line-mode delivery: k-way merges the due line heads by `(at, seq)`
-    /// — the exact global pop order a per-packet timer queue would
-    /// produce. The merge is a repeated linear min scan: the line count is
-    /// a topology-sized handful, so the scan beats any heap and allocates
-    /// nothing.
-    fn deliver_due_lines(
-        &mut self,
-        now: SimTime,
-        progress: &mut bool,
-        requeue: &mut bool,
-    ) -> usize {
+    ///
+    /// k-way merges the due line heads by `(at, seq)` — the exact global
+    /// pop order a per-packet timer queue would produce. The merge is a
+    /// repeated linear min scan: the line count is a topology-sized
+    /// handful, so the scan beats any heap and allocates nothing.
+    fn deliver_due(&mut self, now: SimTime, requeue: &mut bool) -> usize {
         // Exact fast path: `arrival_next` is exact on entry — exact at the
         // poll boundary, and the round's drains only *fold* head arrivals
         // into it (pops happen nowhere but here, and every exit below
@@ -562,7 +487,6 @@ impl<P> Network<P> {
                 self.arrival_next = min_head;
                 break;
             };
-            *progress = true;
             while let Some(head) = self.lines[li].front() {
                 if head.at > now || second.is_some_and(|s| s < (head.at, head.seq)) {
                     break;
@@ -573,7 +497,8 @@ impl<P> Network<P> {
                     // must now track.
                     self.head_updates += 1;
                 }
-                let Transit { packet, route, hop } = ent.transit;
+                let (route, hop) = unpack_tag(ent.tag);
+                let packet = ent.packet;
                 // Same staleness rule as the serialization arm: a replaced
                 // route strands the packet, counted not panicked.
                 if self.route_id(packet.src.host, packet.dst.host) != Some(route) {
@@ -603,54 +528,12 @@ impl<P> Network<P> {
         moved
     }
 
-    /// Reference (wheel-mode) delivery: pops per-packet arrivals in
-    /// `(at, seq)` order. Retained as the executable spec the delay-line
-    /// equivalence property tests pin against.
-    fn deliver_due_wheel(
-        &mut self,
-        now: SimTime,
-        progress: &mut bool,
-        requeue: &mut bool,
-    ) -> usize {
-        let mut moved = 0;
-        while let Some(ev) = self.in_flight.pop_due(now) {
-            let Transit { packet, route, hop } = ev.event;
-            *progress = true;
-            // Same staleness rule as the serialization arm: a replaced
-            // route strands the packet, counted not panicked.
-            if self.route_id(packet.src.host, packet.dst.host) != Some(route) {
-                self.misrouted += 1;
-                continue;
-            }
-            let links = &self.route_table[route.0 as usize];
-            if hop as usize + 1 >= links.len() {
-                self.inboxes[packet.dst.host.0 as usize].push_back(packet);
-                self.delivered += 1;
-            } else {
-                let next = links[hop as usize + 1];
-                self.enqueue_on_link(next, ev.at, packet, pack_tag(route, hop + 1));
-                if self.links[next.0 as usize]
-                    .next_wake()
-                    .is_some_and(|t| t <= now)
-                {
-                    *requeue = true;
-                }
-            }
-            moved += 1;
-        }
-        moved
-    }
-
-    /// When the network next needs polling: the earliest over the eager
-    /// service and arrival minima (exact at every public-API boundary)
-    /// and the reference wheel's top. Three reads — drivers peek this
-    /// several times per settle iteration.
+    /// When the network next needs polling: the earlier of the eager
+    /// service and arrival minima, both exact at every public-API
+    /// boundary. Two reads — drivers peek this several times per settle
+    /// iteration.
     pub fn next_wake(&self) -> Option<SimTime> {
-        earliest([
-            self.service_next,
-            self.arrival_next,
-            self.in_flight.next_time(),
-        ])
+        earliest([self.service_next, self.arrival_next])
     }
 
     /// Pops the next delivered packet for `host`, if any.
@@ -733,14 +616,6 @@ impl<P> Network<P> {
         self.links.len()
     }
 
-    /// Total timer-wheel cascade work done by this network since the last
-    /// rebuild — the `wheel_cascades` campaign counter. The production
-    /// path has no wheel at all, so this is zero outside the reference
-    /// per-packet wheel mode.
-    pub fn wheel_cascades(&self) -> u64 {
-        self.in_flight.cascades()
-    }
-
     /// Delay-line observability: `(head_updates, bypass_packets)`. Head
     /// updates are line-head exposures — the instants the scheduler scan
     /// must track; bypass packets joined a busy line behind an earlier
@@ -749,26 +624,11 @@ impl<P> Network<P> {
         (self.head_updates, self.bypass_packets)
     }
 
-    /// Routes in-flight packets through the retained per-packet wheel
-    /// instead of the delay lines. The two paths are observationally
-    /// identical (the equivalence property tests pin this); the wheel path
-    /// exists only as their executable spec. Call on an idle network —
-    /// switching with packets in flight would strand them in the inactive
-    /// index.
-    #[doc(hidden)]
-    pub fn set_inflight_wheel_mode(&mut self, wheel: bool) {
-        debug_assert!(
-            self.in_flight.next_time().is_none() && self.lines.iter().all(VecDeque::is_empty),
-            "mode switch with packets in flight"
-        );
-        self.inflight_wheel_mode = wheel;
-    }
-
     /// Scrubs every piece of topology and traffic state while keeping the
-    /// allocated storage — timer wheels, inboxes, scratch buffers, route
-    /// tables — so the next session's rebuild schedules into warm memory.
-    /// A reset network is logically indistinguishable from
-    /// [`Network::new`]; see [`crate::NetBuilder::build_with_payload_into`].
+    /// allocated storage — delay lines, inboxes, route tables — so the
+    /// next session's rebuild schedules into warm memory. A reset network
+    /// is logically indistinguishable from [`Network::new`]; see
+    /// [`crate::NetBuilder::build_from_prototype_into`].
     pub fn reset_for_rebuild(&mut self) {
         self.num_nodes = 0;
         self.host_nodes.clear();
@@ -784,7 +644,6 @@ impl<P> Network<P> {
         self.bypass_packets = 0;
         self.service_next = None;
         self.arrival_next = None;
-        self.in_flight.reset();
         for mut q in self.inboxes.drain(..) {
             q.clear();
             self.spare_inboxes.push(q);

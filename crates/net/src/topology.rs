@@ -81,25 +81,14 @@ impl NetBuilder {
     /// `rng` seeds the per-link loss/congestion streams (forked, so link
     /// count changes don't perturb unrelated links... each link gets its own
     /// child stream in creation order).
-    pub fn build(self, rng: &mut SimRng) -> Network<()>
-    where
-        (): Sized,
-    {
-        self.build_with_payload::<()>(rng)
+    pub fn build(self, rng: &mut SimRng) -> Network<()> {
+        self.build_with_payload(rng)
     }
 
     /// As [`NetBuilder::build`] but for an arbitrary payload type.
     pub fn build_with_payload<P>(self, rng: &mut SimRng) -> Network<P> {
-        self.build_onto(rng, Network::new())
-    }
-
-    /// As [`NetBuilder::build_with_payload`] but rebuilding onto a retired
-    /// network, recycling its storage (timer wheels, inboxes, tables). The
-    /// result is logically identical to a fresh build; it merely schedules
-    /// into warm memory instead of allocating.
-    pub fn build_with_payload_into<P>(self, rng: &mut SimRng, mut net: Network<P>) -> Network<P> {
-        net.reset_for_rebuild();
-        self.build_onto(rng, net)
+        let proto = self.prototype();
+        self.build_from_prototype_into(rng, Network::new(), &proto)
     }
 
     /// Computes this builder's routing structure once, for reuse by
@@ -113,9 +102,8 @@ impl NetBuilder {
         for (i, (from, to, _)) in self.links.iter().enumerate() {
             adj[*from as usize].push((*to, LinkId(i as u32)));
         }
-        // Record routes in exactly the host-pair order `build_onto`
-        // installs them, so replaying them through
-        // `Network::install_route` issues identical route ids.
+        // Route ids are issued in install order, which is part of the
+        // determinism contract: record routes in host-pair order.
         let mut routes = Vec::new();
         for (src_pos, src_idx) in self.hosts.iter().enumerate() {
             let preds = bfs(&adj, *src_idx, self.net_nodes);
@@ -140,13 +128,15 @@ impl NetBuilder {
         }
     }
 
-    /// As [`NetBuilder::build_with_payload_into`] but installing the
-    /// prototype's pre-computed routes instead of re-running BFS: nodes
-    /// and links are created exactly as a full build would (same ids,
-    /// same per-link RNG fork order, this builder's own parameters), then
-    /// each cached route `Arc` is cloned into the route table in recorded
-    /// order. The result is bit-identical to a full build; it merely
-    /// skips the per-session routing work and its allocations.
+    /// Materializes the network onto a retired one, recycling its storage
+    /// (delay lines, inboxes, tables), and installs the prototype's
+    /// pre-computed routes instead of re-running BFS: nodes and links are
+    /// created in declaration order (node ids follow declarations, and
+    /// each link forks its own RNG stream from `rng` in declaration
+    /// order, with this builder's own parameters), then each cached route
+    /// `Arc` is cloned into the route table in recorded order. The result
+    /// is identical to a fresh build; it merely skips the per-session
+    /// routing work and its allocations.
     ///
     /// Panics if the prototype was derived from a structurally different
     /// builder (see [`TopologyPrototype::matches`]).
@@ -180,47 +170,6 @@ impl NetBuilder {
         }
         for (src, dst, route) in &proto.routes {
             net.install_route(*src, *dst, Arc::clone(route));
-        }
-        net
-    }
-
-    fn build_onto<P>(self, rng: &mut SimRng, mut net: Network<P>) -> Network<P> {
-        // Create nodes in declaration order so ids match handles.
-        let mut node_ids: Vec<NodeId> = Vec::with_capacity(self.net_nodes as usize);
-        let mut host_ids: Vec<(u32, HostId)> = Vec::new();
-        for idx in 0..self.net_nodes {
-            if self.hosts.contains(&idx) {
-                let h = net.add_host();
-                node_ids.push(net.host_node(h));
-                host_ids.push((idx, h));
-            } else {
-                node_ids.push(net.add_node());
-            }
-        }
-
-        // Create links, remembering adjacency for routing.
-        let mut adj: Vec<Vec<(u32, LinkId)>> = vec![Vec::new(); self.net_nodes as usize];
-        for (from, to, params) in &self.links {
-            let lid = net.add_link(
-                node_ids[*from as usize],
-                node_ids[*to as usize],
-                *params,
-                rng.fork(u64::from(*from) << 32 | u64::from(*to)),
-            );
-            adj[*from as usize].push((*to, lid));
-        }
-
-        // BFS from every host to every other host.
-        for (src_idx, src_host) in &host_ids {
-            let preds = bfs(&adj, *src_idx, self.net_nodes);
-            for (dst_idx, dst_host) in &host_ids {
-                if src_idx == dst_idx {
-                    continue;
-                }
-                if let Some(route) = trace(&preds, *src_idx, *dst_idx) {
-                    net.set_route(*src_host, *dst_host, route);
-                }
-            }
         }
         net
     }
@@ -263,11 +212,6 @@ impl TopologyPrototype {
                 .all(|(&(f, t), &(bf, bt, _))| f == bf && t == bt)
     }
 
-    /// Number of cached routes.
-    pub fn num_routes(&self) -> usize {
-        self.routes.len()
-    }
-
     /// The recorded route between two hosts, if one exists. The route
     /// set is a handful of entries, so a linear scan beats any index.
     pub fn route(&self, src: HostId, dst: HostId) -> Option<&[LinkId]> {
@@ -298,16 +242,6 @@ impl PrototypeCache {
         let p = Arc::new(b.prototype());
         self.entries.push(Arc::clone(&p));
         p
-    }
-
-    /// Number of distinct structures seen.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when no structure has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 

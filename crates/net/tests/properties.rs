@@ -1,9 +1,15 @@
-//! Property-based tests for network-layer conservation laws: packets are
-//! never created from nothing, FIFO order survives any load pattern, and
-//! link accounting always balances.
+//! Property-based tests for the network layer: conservation laws (packets
+//! are never created from nothing, FIFO order survives any load pattern,
+//! link accounting always balances), `next_wake` exactness, and
+//! equivalence of [`rv_net::Network`] with the independent reference
+//! model in `reference/mod.rs` under random traffic, faults and tied
+//! arrivals.
+
+mod reference;
 
 use proptest::prelude::*;
-use rv_net::{Addr, HostId, LinkId, LinkParams, NetBuilder, Packet};
+use reference::ReferenceNet;
+use rv_net::{Addr, HostId, LinkId, LinkParams, NetBuilder, Network, Packet};
 use rv_sim::{OutagePolicy, SimDuration, SimRng, SimTime};
 
 /// Two hosts, one duplex link with the given parameters.
@@ -116,117 +122,46 @@ proptest! {
     }
 }
 
-/// A randomized multi-hop world: `nh` hosts hanging off a chain of `nr`
-/// routers. Every host pair gets a BFS route through the chain, so routes
-/// span 2..=nr+1 links and packets traverse shared interior links.
-fn chain_world(nh: usize, nr: usize, params: LinkParams, seed: u64) -> rv_net::Network<u32> {
-    let mut b = NetBuilder::new();
-    let hosts: Vec<_> = (0..nh).map(|_| b.host()).collect();
-    let routers: Vec<_> = (0..nr).map(|_| b.router()).collect();
-    for w in routers.windows(2) {
-        b.duplex(w[0], w[1], params);
-    }
-    for (i, h) in hosts.iter().enumerate() {
-        b.duplex(*h, routers[i % nr], params);
-    }
-    let mut rng = SimRng::seed_from_u64(seed);
-    b.build_with_payload::<u32>(&mut rng)
+/// A multi-hop world: `nh` hosts hanging off a chain of `nr` routers.
+/// Nodes are numbered in declaration order — hosts `0..nh`, then the
+/// routers — and every host pair gets a BFS route through the chain, so
+/// routes span 2..=nr+1 links and packets share interior links.
+struct Chain {
+    nh: usize,
+    nr: usize,
+    /// Link declarations `(from, to, params)`, in declaration order.
+    decls: Vec<(u32, u32, LinkParams)>,
 }
 
-/// Observable delivery record: which packet reached which host, and at
-/// which poll step it became visible.
-type Deliveries = Vec<(u64, u32, u32)>;
-
-/// Polls `net` at `at`, then drains every inbox, recording
-/// (poll time in µs, host, payload) in drain order.
-fn poll_and_drain(
-    net: &mut rv_net::Network<u32>,
-    nh: usize,
-    at: SimTime,
-    poll_scan_all: bool,
-    out: &mut Deliveries,
-) -> usize {
-    let moved = if poll_scan_all {
-        net.poll_scan_all(at)
-    } else {
-        net.poll(at)
-    };
-    for h in 0..nh {
-        while let Some(p) = net.recv(HostId(h as u32)) {
-            out.push((at.as_micros(), h as u32, p.payload));
-        }
+impl Chain {
+    fn new(nh: usize, nr: usize, params: LinkParams) -> Self {
+        let router = |i: usize| (nh + i) as u32;
+        let pairs = (1..nr)
+            .map(|r| (router(r - 1), router(r)))
+            .chain((0..nh).map(|h| (h as u32, router(h % nr))));
+        let decls = pairs
+            .flat_map(|(a, b)| [(a, b, params), (b, a, params)])
+            .collect();
+        Chain { nh, nr, decls }
     }
-    moved
+
+    fn builder(&self) -> NetBuilder {
+        let mut b = NetBuilder::new();
+        let mut nodes: Vec<_> = (0..self.nh).map(|_| b.host()).collect();
+        nodes.extend((0..self.nr).map(|_| b.router()));
+        for &(from, to, params) in &self.decls {
+            b.link(nodes[from as usize], nodes[to as usize], params);
+        }
+        b
+    }
+
+    fn build(&self, seed: u64) -> Network<u32> {
+        self.builder()
+            .build_with_payload(&mut SimRng::seed_from_u64(seed))
+    }
 }
 
 proptest! {
-    /// The wake-scheduled `Network::poll` is observationally identical to
-    /// the retained scan-every-link reference implementation: over
-    /// randomized topologies, loss, and traffic, both deliver the same
-    /// packets to the same inboxes in the same order at the same poll
-    /// steps, with identical aggregate counters. Both worlds are built
-    /// from the same seed, so any divergence in per-link RNG draw order
-    /// (the determinism contract) also trips the comparison.
-    #[test]
-    fn wake_scheduled_poll_matches_scan_all(
-        nh in 2usize..5,
-        nr in 1usize..4,
-        sends in prop::collection::vec(
-            (0usize..4, 0usize..4, 1u32..1500, 0u64..200),
-            1..100,
-        ),
-        loss in 0.0f64..0.2,
-        rate_kbps in 50u32..5_000,
-        delay_ms in 0u64..30,
-        queue_kb in 2u32..32,
-        seed in any::<u64>(),
-    ) {
-        let params = LinkParams::lan()
-            .rate(f64::from(rate_kbps) * 1e3)
-            .delay(SimDuration::from_millis(delay_ms))
-            .queue(queue_kb * 1024)
-            .loss(loss);
-        let mut fast = chain_world(nh, nr, params, seed);
-        let mut reference = chain_world(nh, nr, params, seed);
-
-        let mut sends = sends;
-        sends.sort_by_key(|(_, _, _, at)| *at);
-        let mut fast_log = Deliveries::new();
-        let mut ref_log = Deliveries::new();
-        for (i, (src, dst, size, at_ms)) in sends.iter().enumerate() {
-            let (src, dst) = (HostId((src % nh) as u32), HostId((dst % nh) as u32));
-            if src == dst {
-                continue;
-            }
-            let t = SimTime::from_millis(*at_ms);
-            let moved_fast = poll_and_drain(&mut fast, nh, t, false, &mut fast_log);
-            let moved_ref = poll_and_drain(&mut reference, nh, t, true, &mut ref_log);
-            prop_assert_eq!(moved_fast, moved_ref);
-            let pkt = Packet::new(Addr::new(src, 1), Addr::new(dst, 1), *size, i as u32);
-            let a = fast.send(t, pkt.clone());
-            let b = reference.send(t, pkt);
-            prop_assert_eq!(a, b);
-        }
-        // Drain to quiescence in coarse steps so arrival times stay
-        // observable, then compare every record.
-        for step in 1..=80u64 {
-            let t = SimTime::from_millis(200 + step * 50);
-            poll_and_drain(&mut fast, nh, t, false, &mut fast_log);
-            poll_and_drain(&mut reference, nh, t, true, &mut ref_log);
-        }
-        prop_assert_eq!(fast_log, ref_log);
-        prop_assert_eq!(fast.delivered(), reference.delivered());
-        prop_assert_eq!(fast.misrouted(), reference.misrouted());
-        prop_assert_eq!(fast.unroutable(), reference.unroutable());
-        for l in 0..fast.num_links() {
-            prop_assert_eq!(
-                fast.link_stats(rv_net::LinkId(l as u32)),
-                reference.link_stats(rv_net::LinkId(l as u32))
-            );
-        }
-        prop_assert!(fast.next_wake().is_none(), "drained world still has wakes");
-    }
-
     /// `next_wake` is conservative: polling strictly before it moves
     /// nothing, and polling at it always makes progress — so the reported
     /// wake is never later than an unprocessed due event.
@@ -242,7 +177,7 @@ proptest! {
             .rate(f64::from(rate_kbps) * 1e3)
             .delay(SimDuration::from_millis(delay_ms))
             .queue(u32::MAX);
-        let mut net = chain_world(2, nr, params, seed);
+        let mut net = Chain::new(2, nr, params).build(seed);
         let (a, z) = (HostId(0), HostId(1));
         let mut sends = sends;
         sends.sort_by_key(|(_, at)| *at);
@@ -277,118 +212,162 @@ proptest! {
     }
 }
 
-/// One step of a randomized fault-and-traffic script; the raw strategy
-/// tuple is decoded by [`apply_op`] so both worlds replay the identical
-/// sequence.
+/// One step of a script: `(advance ms, kind, a, b, size, ppm)`. Each step
+/// advances the clock, polls, and then acts by `kind % 4`: 0 sends `size`
+/// bytes from host `a` to host `b`, 1 toggles link `a` down (policy by
+/// `b`) or back up, 2 sets link `a`'s injected loss to `ppm`, 3 reinstalls
+/// the route from `a` to `b` (stranding what is in flight on it).
 type ScriptOp = (u64, usize, usize, usize, u32, u32);
 
-/// Everything two equivalent networks must agree on after a script.
-type Observables = (Deliveries, u64, u64, u64, Vec<rv_net::LinkStats>);
-
-/// Replays a script of sends, outages, loss bursts, and route changes on a
-/// freshly built chain world, polling before every op and then settling to
-/// quiescence. `wheel_mode` selects the retained per-packet wheel path —
-/// the executable spec the delay lines must match op-for-op.
-#[allow(clippy::too_many_arguments)]
-fn run_fault_script(
+/// Polls both networks at `t` and requires them to agree on the packets
+/// moved, on what each inbox received, on every link's counters and on
+/// the next wake.
+fn poll_both(
+    net: &mut Network<u32>,
+    reference: &mut ReferenceNet,
     nh: usize,
-    nr: usize,
-    params: LinkParams,
-    seed: u64,
-    ops: &[ScriptOp],
-    wheel_mode: bool,
-) -> Observables {
-    // Rebuild the same builder twice (construction is deterministic) so
-    // the prototype's recorded routes are available for route refreshes.
-    let mut b = NetBuilder::new();
-    let hosts: Vec<_> = (0..nh).map(|_| b.host()).collect();
-    let routers: Vec<_> = (0..nr).map(|_| b.router()).collect();
-    for w in routers.windows(2) {
-        b.duplex(w[0], w[1], params);
+    t: SimTime,
+) -> Result<(), String> {
+    prop_assert_eq!(net.poll(t), reference.poll(t), "packets moved at {}", t);
+    for h in 0..nh {
+        let host = HostId(h as u32);
+        loop {
+            let (got, want) = (net.recv(host), reference.recv(host));
+            prop_assert_eq!(
+                got.as_ref().map(|p| p.payload),
+                want.as_ref().map(|p| p.payload),
+                "host {} inbox at {}",
+                h,
+                t
+            );
+            if got.is_none() {
+                break;
+            }
+        }
     }
-    for (i, h) in hosts.iter().enumerate() {
-        b.duplex(*h, routers[i % nr], params);
+    for l in 0..net.num_links() {
+        let lid = LinkId(l as u32);
+        prop_assert_eq!(
+            net.link_stats(lid),
+            reference.link_stats(lid),
+            "link {} at {}",
+            l,
+            t
+        );
     }
-    let proto = b.prototype();
-    let mut rng = SimRng::seed_from_u64(seed);
-    let mut net = b.build_with_payload::<u32>(&mut rng);
-    net.set_inflight_wheel_mode(wheel_mode);
+    prop_assert_eq!(net.next_wake(), reference.next_wake(), "next wake at {}", t);
+    Ok(())
+}
 
-    let mut log = Deliveries::new();
+/// Replays `ops` on the `Network` built from `chain` and on the reference
+/// built from the same declarations and seed, in lockstep; then brings
+/// every link back up and settles in coarse steps. Every step compares
+/// the send results and everything [`poll_both`] checks; the end compares
+/// the delivered, misrouted and unroutable totals and requires both
+/// worlds to have drained.
+fn check_against_reference(chain: &Chain, seed: u64, ops: &[ScriptOp]) -> Result<(), String> {
+    let proto = chain.builder().prototype();
+    let mut net = chain.build(seed);
+    let mut reference = ReferenceNet::new(chain.nh, &chain.decls, &proto, seed);
+    let (nh, nl) = (chain.nh, chain.decls.len());
     let mut now_ms = 0u64;
-    for (i, &(dt_ms, kind, a, bsel, size, ppm)) in ops.iter().enumerate() {
+    for (i, &(dt_ms, kind, a, b, size, ppm)) in ops.iter().enumerate() {
         now_ms += dt_ms;
         let t = SimTime::from_millis(now_ms);
-        poll_and_drain(&mut net, nh, t, false, &mut log);
+        poll_both(&mut net, &mut reference, nh, t)?;
+        let (src, dst) = (HostId((a % nh) as u32), HostId((b % nh) as u32));
+        let lid = LinkId((a % nl) as u32);
         match kind % 4 {
             0 => {
-                let (src, dst) = (HostId((a % nh) as u32), HostId((bsel % nh) as u32));
                 if src != dst {
                     let pkt = Packet::new(Addr::new(src, 1), Addr::new(dst, 1), size, i as u32);
-                    net.send(t, pkt);
+                    prop_assert_eq!(
+                        net.send(t, pkt.clone()),
+                        reference.send(t, pkt),
+                        "send {}",
+                        i
+                    );
                 }
             }
             1 => {
-                let lid = LinkId((a % net.num_links()) as u32);
                 if net.link_is_down(lid) {
                     net.set_link_up(t, lid);
-                } else if bsel % 2 == 0 {
-                    net.set_link_down(lid, OutagePolicy::DropInFlight);
+                    reference.set_link_up(t, lid);
                 } else {
-                    net.set_link_down(lid, OutagePolicy::CarryInFlight);
+                    let policy = if b % 2 == 0 {
+                        OutagePolicy::DropInFlight
+                    } else {
+                        OutagePolicy::CarryInFlight
+                    };
+                    net.set_link_down(lid, policy);
+                    reference.set_link_down(lid, policy);
                 }
             }
             2 => {
-                // Loss burst; ppm == 0 restores organic loss exactly.
-                let lid = LinkId((a % net.num_links()) as u32);
                 net.set_link_extra_loss(lid, ppm);
+                reference.set_link_extra_loss(lid, ppm);
             }
             _ => {
-                // Route refresh: re-installing even the same link sequence
-                // issues a fresh route id, stranding every packet already
-                // in flight on the old one (they must count `misrouted`).
-                let (src, dst) = (HostId((a % nh) as u32), HostId((bsel % nh) as u32));
                 if let Some(route) = proto.route(src, dst) {
                     net.set_route(src, dst, route.to_vec());
+                    reference.set_route(src, dst, route.to_vec());
                 }
             }
         }
     }
-    // Restore every link so carried queues flush, then settle.
     let end = SimTime::from_millis(now_ms);
-    for l in 0..net.num_links() {
+    for l in 0..nl {
         let lid = LinkId(l as u32);
         if net.link_is_down(lid) {
             net.set_link_up(end, lid);
+            reference.set_link_up(end, lid);
         }
     }
     for step in 1..=120u64 {
         let t = SimTime::from_millis(now_ms + step * 50);
-        poll_and_drain(&mut net, nh, t, false, &mut log);
+        poll_both(&mut net, &mut reference, nh, t)?;
     }
-    let stats = (0..net.num_links())
-        .map(|l| net.link_stats(LinkId(l as u32)))
-        .collect();
-    assert!(net.next_wake().is_none(), "world failed to quiesce");
-    (
-        log,
-        net.delivered(),
-        net.misrouted(),
-        net.unroutable(),
-        stats,
-    )
+    prop_assert_eq!(net.delivered(), reference.delivered, "delivered");
+    prop_assert_eq!(net.misrouted(), reference.misrouted, "misrouted");
+    prop_assert_eq!(net.unroutable(), reference.unroutable, "unroutable");
+    prop_assert!(net.next_wake().is_none(), "world failed to quiesce");
+    Ok(())
 }
 
 proptest! {
-    /// The per-link delay lines are observationally identical to the
-    /// retained per-packet wheel under adversarial conditions the plain
-    /// traffic test never reaches: mid-flight outages of both policies,
-    /// loss bursts injected and withdrawn, and route refreshes that
-    /// strand in-flight packets (which must still count `misrouted`).
-    /// Both worlds replay the identical op script and must agree on every
-    /// delivery record, aggregate counter, and per-link stat.
+    /// Over random chains, loss and traffic, `Network` is observationally
+    /// identical to the reference: same packets moved per poll, same
+    /// inbox contents at the same poll instants, same link counters and
+    /// wakes. Both draw from per-link streams forked from one seed, so a
+    /// divergence in RNG draw order (the determinism contract) also trips
+    /// the comparison.
     #[test]
-    fn delay_lines_match_wheel_reference(
+    fn poll_matches_reference_on_random_traffic(
+        nh in 2usize..5,
+        nr in 1usize..4,
+        sends in prop::collection::vec((0u64..6, 0usize..4, 0usize..4, 1u32..1500), 1..100),
+        loss in 0.0f64..0.2,
+        rate_kbps in 50u32..5_000,
+        delay_ms in 0u64..30,
+        queue_kb in 2u32..32,
+        seed in any::<u64>(),
+    ) {
+        let params = LinkParams::lan()
+            .rate(f64::from(rate_kbps) * 1e3)
+            .delay(SimDuration::from_millis(delay_ms))
+            .queue(queue_kb * 1024)
+            .loss(loss);
+        let ops: Vec<ScriptOp> =
+            sends.iter().map(|&(dt, a, b, size)| (dt, 0, a, b, size, 0)).collect();
+        check_against_reference(&Chain::new(nh, nr, params), seed, &ops)?;
+    }
+
+    /// The same equivalence under the conditions plain traffic never
+    /// reaches: mid-flight outages of both policies, loss bursts injected
+    /// and withdrawn, and route reinstalls that strand in-flight packets
+    /// (which must count `misrouted`).
+    #[test]
+    fn poll_matches_reference_under_faults(
         nh in 2usize..5,
         nr in 1usize..4,
         ops in prop::collection::vec(
@@ -406,12 +385,30 @@ proptest! {
             .delay(SimDuration::from_millis(delay_ms))
             .queue(queue_kb * 1024)
             .loss(loss);
-        let lines = run_fault_script(nh, nr, params, seed, &ops, false);
-        let wheel = run_fault_script(nh, nr, params, seed, &ops, true);
-        prop_assert_eq!(lines.0, wheel.0);
-        prop_assert_eq!(lines.1, wheel.1, "delivered diverged");
-        prop_assert_eq!(lines.2, wheel.2, "misrouted diverged");
-        prop_assert_eq!(lines.3, wheel.3, "unroutable diverged");
-        prop_assert_eq!(lines.4, wheel.4);
+        check_against_reference(&Chain::new(nh, nr, params), seed, &ops)?;
+    }
+
+    /// The same equivalence where it is hardest to get right: same-instant
+    /// arrivals on different links. Every link runs at 1 Mb/s with whole-ms
+    /// delays and packets come in 125-byte units, so every serialization
+    /// takes whole milliseconds; with sends 0–2 ms apart, no loss, deep
+    /// queues and three or more hosts sharing router links, arrivals
+    /// collide constantly and their tie-break decides which packet a
+    /// shared link serializes first.
+    #[test]
+    fn poll_matches_reference_on_tied_arrivals(
+        nh in 3usize..6,
+        nr in 1usize..4,
+        sends in prop::collection::vec((0u64..3, 0usize..8, 0usize..8, 1u32..9), 1..120),
+        delay_ms in 0u64..4,
+        seed in any::<u64>(),
+    ) {
+        let params = LinkParams::lan()
+            .rate(1_000_000.0)
+            .delay(SimDuration::from_millis(delay_ms))
+            .queue(u32::MAX);
+        let ops: Vec<ScriptOp> =
+            sends.iter().map(|&(dt, a, b, units)| (dt, 0, a, b, units * 125, 0)).collect();
+        check_against_reference(&Chain::new(nh, nr, params), seed, &ops)?;
     }
 }

@@ -1,35 +1,40 @@
 //! # rv-sim — deterministic discrete-event simulation kernel
 //!
 //! The foundation of the RealVideo reproduction: a logical clock
-//! ([`SimTime`]/[`SimDuration`]), a stable time-ordered [`EventQueue`], a
-//! poll-style driver loop ([`run_until`]), and a forkable deterministic RNG
-//! ([`SimRng`]).
+//! ([`SimTime`]/[`SimDuration`]), wake-up folding for poll-style drivers
+//! ([`earliest`]), a forkable deterministic RNG ([`SimRng`]), zero-copy
+//! payload buffers, scripted faults, campaign counters and the flight
+//! recorder.
 //!
 //! Design follows the smoltcp school of event-driven networking: components
 //! are plain state machines polled with an explicit `now`, never reading the
-//! wall clock and never spawning threads. That is what makes every figure in
-//! the paper reproduction bit-identical across runs and machines.
+//! wall clock and never spawning threads. Each reports when it next needs
+//! attention, and the driver jumps its clock to the earliest report. That
+//! is what makes every figure in the paper reproduction bit-identical
+//! across runs and machines.
 //!
 //! ```
-//! use rv_sim::{Clock, EventQueue, SimTime, StepOutcome, run_until};
+//! use rv_sim::{earliest, SimDuration, SimRng, SimTime};
 //!
-//! let mut queue = EventQueue::new();
-//! queue.push(SimTime::from_secs(1), "hello");
-//! queue.push(SimTime::from_secs(2), "world");
-//!
-//! let mut clock = Clock::new();
-//! let mut seen = Vec::new();
-//! run_until(&mut clock, SimTime::from_secs(10), |now| {
-//!     if let Some(ev) = queue.pop_due(now) {
-//!         seen.push(ev.event);
-//!         StepOutcome::Worked
-//!     } else if let Some(t) = queue.next_time() {
-//!         StepOutcome::IdleUntil(t)
-//!     } else {
-//!         StepOutcome::Quiescent
+//! // Two periodic components, each reporting its next wake; the driver
+//! // jumps straight to the earliest one instead of ticking.
+//! let periods = [SimDuration::from_millis(30), SimDuration::from_millis(20)];
+//! let mut next = periods.map(|p| SimTime::ZERO + p);
+//! let end = SimTime::from_millis(60);
+//! let mut fired = Vec::new();
+//! while let Some(now) = earliest(next.iter().map(|&t| (t <= end).then_some(t))) {
+//!     for (i, t) in next.iter_mut().enumerate() {
+//!         if *t == now {
+//!             fired.push((now.as_millis(), i));
+//!             *t = now + periods[i];
+//!         }
 //!     }
-//! });
-//! assert_eq!(seen, ["hello", "world"]);
+//! }
+//! assert_eq!(fired, [(20, 1), (30, 0), (40, 1), (60, 0), (60, 1)]);
+//!
+//! // Randomness comes from forked, seeded streams: same seed, same draws.
+//! let (mut a, mut b) = (SimRng::seed_from_u64(7), SimRng::seed_from_u64(7));
+//! assert_eq!(a.fork(1).next_u64(), b.fork(1).next_u64());
 //! ```
 
 // The `alloc-stats` feature implements `GlobalAlloc`, whose contract is
@@ -43,22 +48,16 @@
 pub mod alloc_stats;
 mod bytes;
 mod chacha;
-mod clock;
 mod counters;
-mod event;
 mod fault;
 mod rng;
 mod time;
 pub mod trace;
-mod wheel;
 
 pub use bytes::{ByteRope, PayloadBytes, PayloadPool};
-pub use clock::{run_until, Clock, StepOutcome};
 pub use counters::{Counter, CounterSet};
-pub use event::{earliest, EventQueue, Scheduled};
 pub use fault::{
     FaultPlan, FaultScenario, FaultSegment, LinkOutage, LossBurst, OutagePolicy, ServerCrash,
 };
 pub use rng::SimRng;
-pub use time::{SimDuration, SimTime};
-pub use wheel::{TimerWheel, WheelToken};
+pub use time::{earliest, SimDuration, SimTime};

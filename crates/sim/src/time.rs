@@ -292,9 +292,29 @@ impl fmt::Display for SimDuration {
     }
 }
 
+/// Folds optional wake-up times down to the earliest one.
+///
+/// Poll-based components report `Option<SimTime>` ("wake me then" or "I'm
+/// idle"); drivers jump their clock to the earliest of them.
+pub fn earliest<I>(times: I) -> Option<SimTime>
+where
+    I: IntoIterator<Item = Option<SimTime>>,
+{
+    times.into_iter().flatten().min()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn earliest_folds_options() {
+        let a = Some(SimTime::from_secs(4));
+        let c = Some(SimTime::from_secs(2));
+        assert_eq!(earliest([a, None, c]), Some(SimTime::from_secs(2)));
+        assert_eq!(earliest([None, None]), None);
+        assert_eq!(earliest(std::iter::empty()), None);
+    }
 
     #[test]
     fn construction_round_trips() {

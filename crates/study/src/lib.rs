@@ -5,7 +5,7 @@
 //! 63-participant population with its connection/PC/firewall mix
 //! ([`build_population`]), the eleven-server roster ([`server_roster`]),
 //! the 98-clip playlist ([`build_playlist`]), per-session world
-//! construction ([`build_session_world`]), and the campaign runner that
+//! construction ([`build_session_world_gw`]), and the campaign runner that
 //! replays the whole June 2001 study and yields the streaming
 //! [`CampaignAggregates`] every figure is computed from. Campaigns run
 //! in two phases: a pure plan pass ([`plan_campaign`]) fixes every
@@ -59,4 +59,4 @@ pub use population::{
 pub use report::{FailureBreakdown, FailureReport};
 pub use servers::{server_roster, ServerSite};
 pub use tracefile::{trace_session, SessionTrace, TraceError};
-pub use worldbuild::{build_session_world, build_session_world_gw, build_session_world_with};
+pub use worldbuild::build_session_world_gw;

@@ -98,59 +98,20 @@ fn study_fault_links() -> FaultLinkMap {
 /// `fault_plan` scripts this session's trouble (pass
 /// [`FaultPlan::none`] for a healthy world — arming an empty plan is
 /// free).
-pub fn build_session_world(
-    user: &UserProfile,
-    site: &ServerSite,
-    clip: &Clip,
-    watch_limit: SimDuration,
-    session_seed: u64,
-    fault_plan: &FaultPlan,
-) -> SessionWorld {
-    let mut scratch = WorldScratch::default();
-    build_session_world_with(
-        user,
-        site,
-        clip,
-        watch_limit,
-        session_seed,
-        fault_plan,
-        &mut scratch,
-    )
-}
-
-/// As [`build_session_world`] but recycling storage harvested from a
-/// previously retired world. Executors thread one [`WorldScratch`] per
-/// worker through consecutive sessions; the worlds built are
-/// bit-identical to fresh ones, they just reuse warm allocations.
-#[allow(clippy::too_many_arguments)]
-pub fn build_session_world_with(
-    user: &UserProfile,
-    site: &ServerSite,
-    clip: &Clip,
-    watch_limit: SimDuration,
-    session_seed: u64,
-    fault_plan: &FaultPlan,
-    scratch: &mut WorldScratch,
-) -> SessionWorld {
-    build_session_world_gw(
-        user,
-        site,
-        clip,
-        watch_limit,
-        session_seed,
-        fault_plan,
-        None,
-        scratch,
-    )
-}
-
-/// As [`build_session_world_with`] but with an optional gateway tier:
-/// `Some(spec)` stands up `spec.replicas` servers for the site (replica 0
-/// is the classic server; replicas 1.. get their own hosts behind cloud
-/// B), seeds each with a standing load, arms admission control, and hands
-/// the client the gateway's replica order to walk on busy/crash. `None`
-/// — and any spec with `replicas <= 1` and `capacity == 0` — builds the
-/// single-server world bit for bit.
+///
+/// `gateway` adds an optional gateway tier: `Some(spec)` stands up
+/// `spec.replicas` servers for the site (replica 0 is the classic server;
+/// replicas 1.. get their own hosts behind cloud B), seeds each with a
+/// standing load, arms admission control, and hands the client the
+/// gateway's replica order to walk on busy/crash. `None` — and any spec
+/// with `replicas <= 1` and `capacity == 0` — builds the single-server
+/// world bit for bit.
+///
+/// `scratch` recycles storage harvested from a previously retired world.
+/// Executors thread one [`WorldScratch`] per worker through consecutive
+/// sessions; the worlds built are bit-identical to fresh ones (pass
+/// `&mut WorldScratch::default()` for a fresh build), they just reuse
+/// warm allocations.
 #[allow(clippy::too_many_arguments)]
 pub fn build_session_world_gw(
     user: &UserProfile,
@@ -369,6 +330,28 @@ mod tests {
     use rv_sim::SimTime;
     use rv_tracer::SessionOutcome;
 
+    /// A fresh single-server world.
+    fn fresh_world(
+        user: &UserProfile,
+        site: &ServerSite,
+        clip: &Clip,
+        watch_limit: SimDuration,
+        session_seed: u64,
+        fault_plan: &FaultPlan,
+    ) -> SessionWorld {
+        let mut scratch = WorldScratch::default();
+        build_session_world_gw(
+            user,
+            site,
+            clip,
+            watch_limit,
+            session_seed,
+            fault_plan,
+            None,
+            &mut scratch,
+        )
+    }
+
     #[test]
     fn built_world_plays_a_session() {
         let mut rng = SimRng::seed_from_u64(1);
@@ -381,7 +364,7 @@ mod tests {
         let roster = server_roster();
         let site = &roster[9]; // US/CNN
         let clip = Clip::new("t.rm", SimDuration::from_secs(240), ContentKind::News);
-        let mut world = build_session_world(
+        let mut world = fresh_world(
             user,
             site,
             &clip,
@@ -416,7 +399,7 @@ mod tests {
             }],
             ..FaultPlan::none()
         };
-        let m = build_session_world(user, site, &clip, SimDuration::from_secs(30), 42, &down)
+        let m = fresh_world(user, site, &clip, SimDuration::from_secs(30), 42, &down)
             .run(SimTime::from_secs(150));
         assert_eq!(m.outcome, SessionOutcome::ServerDown);
 
@@ -431,7 +414,7 @@ mod tests {
             }],
             ..FaultPlan::none()
         };
-        let m = build_session_world(user, site, &clip, SimDuration::from_secs(30), 42, &cut)
+        let m = fresh_world(user, site, &clip, SimDuration::from_secs(30), 42, &cut)
             .run(SimTime::from_secs(150));
         assert!(!m.outcome.is_played(), "outcome {:?}", m.outcome);
     }
@@ -458,7 +441,7 @@ mod tests {
         let site = &roster[9];
         let clip = Clip::new("t.rm", SimDuration::from_secs(240), ContentKind::News);
 
-        let mut w1 = build_session_world(
+        let mut w1 = fresh_world(
             modem,
             site,
             &clip,
@@ -467,7 +450,7 @@ mod tests {
             &FaultPlan::none(),
         );
         let m1 = w1.run(SimTime::from_secs(150));
-        let mut w2 = build_session_world(
+        let mut w2 = fresh_world(
             lan,
             site,
             &clip,
